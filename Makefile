@@ -1,9 +1,10 @@
 PYTHON ?= python
+SEED ?= 1
 export PYTHONPATH := src
 
 .PHONY: test perf perf-check lint bench faults trace-smoke par-smoke \
 	eclat-smoke mmcs-smoke steal-smoke serve-smoke obs-smoke chaos \
-	coverage scale-smoke
+	coverage scale-smoke e2e e2e-trace
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -15,6 +16,15 @@ faults:
 
 perf:
 	$(PYTHON) -m benchmarks.run_perf
+
+# The end-to-end benchmark (perfbench/, declared in BENCHMARK.json):
+# every workload at seed $(SEED), untraced (end-to-end metrics) or
+# traced (per-layer metrics).  Exit 1 on any wrong output.
+e2e:
+	$(PYTHON) perfbench/run.py --workload all --seed $(SEED)
+
+e2e-trace:
+	$(PYTHON) perfbench/run.py --workload all --seed $(SEED) --trace 1
 
 # Regression gate: rerun each suite to a scratch report and compare it
 # against its committed BENCH_PR<n>.json baseline (>30% slowdown fails;

@@ -13,7 +13,7 @@ from repro.datasets.categorical import (
 )
 from repro.datasets.transactions import TransactionDatabase
 from repro.datasets.baskets import ColumnarBuilder, read_baskets_csv
-from repro.datasets.fimi import read_fimi, read_fimi_stream, write_fimi
+from repro.datasets.fimi import read_fimi, write_fimi
 from repro.datasets.synthetic import QuestParameters, generate_quest_database
 from repro.datasets.planted import (
     PlantedTheory,
@@ -32,7 +32,6 @@ __all__ = [
     "ColumnarBuilder",
     "read_baskets_csv",
     "read_fimi",
-    "read_fimi_stream",
     "write_fimi",
     "QuestParameters",
     "generate_quest_database",

@@ -11,8 +11,13 @@ from __future__ import annotations
 import os
 from collections.abc import Iterable
 
+import numpy as np
+
 from repro.datasets.transactions import TransactionDatabase
 from repro.util.bitset import Universe, iter_bits
+
+#: Characters per block of whole lines: bounds the token strings held.
+_BLOCK_CHARS = 1 << 17
 
 
 def write_fimi(database: TransactionDatabase, path: str | os.PathLike) -> None:
@@ -30,13 +35,20 @@ def write_fimi(database: TransactionDatabase, path: str | os.PathLike) -> None:
             handle.write("\n")
 
 
-def _scan_universe(path: str | os.PathLike) -> Universe:
-    """One streaming pass collecting the sorted set of item ids."""
-    items: set[int] = set()
-    with open(path, "r", encoding="ascii") as handle:
-        for line in handle:
-            items.update(int(token) for token in line.split())
-    return Universe(sorted(items))
+def _scan_universe(ids, universe: Universe | None = None) -> tuple:
+    """``(universe, slots)`` for parsed item ids: the sorted set of ids
+    becomes the universe unless one is supplied, and an id outside a
+    supplied universe raises :class:`ValueError` naming it."""
+    if universe is None:
+        items = np.unique(ids)
+        return Universe(items.tolist()), np.searchsorted(items, ids)
+    try:
+        slots = list(map(universe.index_of, ids.tolist()))
+    except KeyError as error:
+        raise ValueError(
+            f"item {error.args[0]!r} is outside the universe"
+        ) from None
+    return universe, np.array(slots, dtype=np.intp)
 
 
 def read_fimi(
@@ -49,54 +61,46 @@ def read_fimi(
 
     Args:
         path: the file to read.
-        universe: optional pre-built integer universe; when omitted, a
-            first streaming pass collects the sorted set of item ids
-            seen in the file.
+        universe: optional pre-built universe; when omitted, the sorted
+            set of item ids seen in the file.
         backend: vertical backend for the built database.
 
-    Blank lines become empty transactions (they still count toward the
-    total row count, matching FIMI tooling conventions).  Lines are
-    parsed one at a time — no intermediate list of token rows is ever
-    built; with a supplied ``universe`` the file is read exactly once.
+    One pass over the file, a block of lines at a time: every token goes
+    through ``int()``, the ids are mapped to universe slots, and one
+    stable argsort groups the row indices by item for
+    :meth:`~repro.datasets.transactions.TransactionDatabase.from_columnar`
+    — no horizontal row list is built.  Blank lines are empty
+    transactions (they count toward the row total, as in FIMI tooling).
     """
-    if universe is None:
-        universe = _scan_universe(path)
-
-    def masks(resolved: Universe):
-        with open(path, "r", encoding="ascii") as handle:
-            for line in handle:
-                yield resolved.to_mask(
-                    int(token) for token in line.split()
-                )
-
-    return TransactionDatabase(universe, masks(universe), backend=backend)
-
-
-def read_fimi_stream(
-    path: str | os.PathLike,
-    universe: Universe | None = None,
-    *,
-    backend: str = "auto",
-) -> TransactionDatabase:
-    """Stream a FIMI ``.dat`` file straight into columnar form.
-
-    Unlike :func:`read_fimi` — whose resulting database still stores the
-    horizontal mask list — this path feeds each line to a
-    :class:`~repro.datasets.baskets.ColumnarBuilder` and builds the
-    database with
-    :meth:`~repro.datasets.transactions.TransactionDatabase.from_columnar`:
-    the horizontal row list is *never* materialized, in the builder or
-    in the database.  Memory is proportional to item occurrences, which
-    is what makes million-row files ingestible.  Blank lines are empty
-    transactions, exactly as in :func:`read_fimi`.
-    """
-    from repro.datasets.baskets import ColumnarBuilder
-
-    builder = ColumnarBuilder(universe, backend=backend)
+    ids, rows, n_rows = [np.empty(0, np.int64)], [np.empty(0, np.int64)], 0
     with open(path, "r", encoding="ascii") as handle:
-        for line in handle:
-            builder.add(int(token) for token in line.split())
-    return builder.to_database()
+        while lines := handle.readlines(_BLOCK_CHARS):
+            text = "".join(lines)
+            values = list(map(int, text.split()))
+            try:
+                ids.append(np.array(values, dtype=np.int64))
+            except OverflowError:  # ids past 64 bits stay Python ints
+                ids.append(np.array(values, dtype=object))
+            # int() took every token, so bytes <= 32 are exactly split()'s
+            # whitespace; a token's row is the newline count before it.
+            raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+            solid = raw > 32
+            starts = np.flatnonzero(solid & np.diff(solid, prepend=False))
+            newlines = np.flatnonzero(raw == 10)
+            rows.append(n_rows + np.searchsorted(newlines, starts))
+            n_rows += len(lines)
+    ids, rows = np.concatenate(ids), np.concatenate(rows)
+    universe, slots = _scan_universe(ids, universe)
+    # A key dtype of at most 16 bits lets the stable sort run as radix.
+    key = slots.astype(np.min_scalar_type(len(universe)))
+    by_item = rows[np.argsort(key, kind="stable")]
+    ends = np.cumsum(np.bincount(slots, minlength=len(universe))).tolist()
+    return TransactionDatabase.from_columnar(
+        universe,
+        [by_item[start:end] for start, end in zip([0, *ends], ends)],
+        n_rows,
+        backend=backend,
+    )
 
 
 def write_transactions(

@@ -18,8 +18,8 @@ Three representations are kept in sync:
   handful of vectorized calls instead of one Python loop per itemset.
 
 The numpy path is an exact accelerator: counts are bit-identical to the
-pure-int path, numpy is optional (``backend="int"`` or a missing numpy
-falls back transparently), and nothing about query accounting changes.
+pure-int path and query accounting is unchanged.  numpy also packs the
+columns of column-first builds and transposes them back to rows.
 
 The vertical column bitmaps double as Eclat's *tidsets*: the tidset of
 an itemset is the AND of its item columns (:meth:`tidset`), and its
@@ -50,17 +50,14 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Sequence
 
+import numpy as _np
+
 from repro.util.bitset import Universe, iter_bits, popcount
 from repro.util.roaring import RoaringBitmap
 
-try:  # numpy is a declared dependency, but the int path is self-sufficient
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
-
 # np.bitwise_count arrived in numpy 2.0; without it the pure-int kernel
 # is used (correctness is identical either way).
-_HAS_VECTOR_POPCOUNT = _np is not None and hasattr(_np, "bitwise_count")
+_HAS_VECTOR_POPCOUNT = hasattr(_np, "bitwise_count")
 
 # Backend names; the authoritative registry is the _BATCH_KERNELS
 # table after the class body (one entry per backend).
@@ -75,11 +72,12 @@ _AUTO_MIN_BATCH = 64
 # Vectorized groups are processed in blocks so the shared-conjunction
 # working set stays cache-resident (larger blocks thrash measurably).
 _BATCH_BLOCK = 2048
+# Rows per _rows_view transpose block: one roaring chunk.
+_TRANSPOSE_BLOCK = 1 << 16
 
-if _np is not None:  # scalar constants reused by the vectorized kernel
-    _U0 = _np.uint64(0)
-    _U1 = _np.uint64(1)
-    _U6 = _np.uint64(6)
+_U0 = _np.uint64(0)
+_U1 = _np.uint64(1)
+_U6 = _np.uint64(6)
 
 
 class TransactionDatabase:
@@ -208,19 +206,35 @@ class TransactionDatabase:
         """The horizontal row list, materialized from columns on demand.
 
         Instances built by :meth:`from_vertical` carry no rows until a
-        horizontal consumer asks; the reconstruction (transpose of the
-        column bitmaps) preserves the exact row order the columns
-        encode, so a round trip is the identity.
+        horizontal consumer asks; the transpose (:meth:`_row_block`)
+        preserves the row order the columns encode, so a round trip is
+        the identity.
         """
         if self._rows is None:
-            decode = iter if self._backend == "roaring" else iter_bits
-            rows = [0] * self._n_rows
-            for item_index, column in enumerate(self._columns):
-                item_bit = 1 << item_index
-                for row_index in decode(column):
-                    rows[row_index] |= item_bit
+            rows: list[int] = []
+            for start in range(0, self._n_rows, _TRANSPOSE_BLOCK):
+                rows += self._row_block(
+                    start, min(start + _TRANSPOSE_BLOCK, self._n_rows)
+                )
             self._rows = rows
         return self._rows
+
+    def _row_block(self, start: int, stop: int) -> list[int]:
+        """Rows ``start .. stop-1``: the columns' bits unpacked to an
+        ``items × rows`` matrix and packed back along the row axis."""
+        block = self._column_slices(start, stop)
+        if self._backend == "roaring":
+            block = [col.to_int() for col in block]
+        n_bytes = (stop - start + 7) // 8
+        bits = _np.unpackbits(
+            _np.frombuffer(
+                b"".join(col.to_bytes(n_bytes, "little") for col in block),
+                dtype=_np.uint8,
+            ).reshape(len(block), n_bytes),
+            axis=1, count=stop - start, bitorder="little",
+        )
+        packed = _np.packbits(bits.T, axis=1, bitorder="little")
+        return [int.from_bytes(row, "little") for row in packed]
 
     @staticmethod
     def _build_columns(rows: Sequence[int], n_items: int) -> list[int]:
@@ -252,13 +266,12 @@ class TransactionDatabase:
     ) -> "TransactionDatabase":
         """Build from per-item row-index lists, skipping row bitmasks.
 
-        The streamed-ingestion constructor: loaders that accumulate
-        ``item → sorted row indices`` (``read_fimi_stream``,
-        ``read_baskets_csv``) hand the columnar form straight to the
-        vertical store.  At a million rows this avoids ~10M big-int OR
-        operations on 125 KB masks that building horizontal rows first
-        would cost — the columns are assembled with byte-level bit sets
-        (int backends) or container builders (``"roaring"``) instead.
+        The column-first ingestion constructor of ``read_fimi`` and
+        ``read_baskets_csv``.  Each int column is packed by numpy (its
+        rows set in a bit buffer, then one ``int.from_bytes``); each
+        ``"roaring"`` column is built by its container builder, with no
+        dense buffer.  numpy and ``array("Q")`` index arrays are read
+        without a copy.
         """
         if backend not in _BACKENDS:
             raise ValueError(
@@ -269,22 +282,21 @@ class TransactionDatabase:
                 f"expected {len(universe)} item row lists, "
                 f"got {len(item_rows)}"
             )
+        item_rows = [_np.asarray(rows) for rows in item_rows]
         if backend == "roaring":
             columns: list = [
-                RoaringBitmap.from_indices(rows) for rows in item_rows
+                RoaringBitmap.from_indices(rows.tolist()) for rows in item_rows
             ]
         else:
-            n_bytes = (n_rows + 7) // 8
             columns = []
             for rows in item_rows:
-                packed = bytearray(n_bytes)
-                for row_index in rows:
-                    if not 0 <= row_index < n_rows:
-                        raise ValueError(
-                            "column uses rows outside the database"
-                        )
-                    packed[row_index >> 3] |= 1 << (row_index & 7)
-                columns.append(int.from_bytes(packed, "little"))
+                if rows.size and not 0 <= rows.min() <= rows.max() < n_rows:
+                    raise ValueError("column uses rows outside the database")
+                bits = _np.zeros(n_rows, dtype=bool)
+                bits[rows.astype(_np.intp)] = True
+                columns.append(int.from_bytes(
+                    _np.packbits(bits, bitorder="little").tobytes(), "little"
+                ))
         return cls.from_vertical(
             universe, columns, n_rows, backend=backend
         )
@@ -362,36 +374,23 @@ class TransactionDatabase:
         """
         from repro.parallel.sharding import shard_bounds
 
-        if self._backend == "roaring":
-            # Slice the compressed columns directly: no horizontal
-            # materialization, interior containers shared outright.
-            return [
-                TransactionDatabase.from_vertical(
-                    self.universe,
-                    [col.sliced(start, stop) for col in self._columns],
-                    stop - start,
-                    backend="roaring",
-                )
-                for start, stop in shard_bounds(self._n_rows, n_shards)
-            ]
-        rows = self._rows_view()
         return [
-            TransactionDatabase(
+            TransactionDatabase.from_vertical(
                 self.universe,
-                rows[start:stop],
+                self._column_slices(start, stop),
+                stop - start,
                 backend=self._backend,
             )
             for start, stop in shard_bounds(self._n_rows, n_shards)
         ]
 
-    def _masks_view(self) -> list[int]:
-        """The internal row list, zero-copy.
-
-        For internal hot paths (projection, batch counting, benchmark
-        harnesses) that would otherwise pay a defensive copy per call.
-        Callers must not mutate the returned list.
-        """
-        return self._rows_view()
+    def _column_slices(self, start: int, stop: int) -> list:
+        """Every column cut to rows ``start .. stop-1``, re-indexed from 0
+        (chunk-aligned roaring slices share interior containers)."""
+        if self._backend == "roaring":
+            return [col.sliced(start, stop) for col in self._columns]
+        keep = (1 << (stop - start)) - 1
+        return [(col >> start) & keep for col in self._columns]
 
     def transactions_as_sets(self) -> list[frozenset]:
         """Rows as ``frozenset`` objects (allocates; for inspection)."""
@@ -734,15 +733,13 @@ class TransactionDatabase:
         (and kept even when they become empty, preserving row count and
         hence relative frequencies).
         """
-        selected = [self.universe.item_at(i) for i in iter_bits(item_mask)]
-        sub_universe = Universe(selected)
-        rows = []
-        for row in self._masks_view():
-            projected = row & item_mask
-            rows.append(sub_universe.to_mask(
-                self.universe.item_at(i) for i in iter_bits(projected)
-            ))
-        return TransactionDatabase(sub_universe, rows, backend=self._backend)
+        selected = list(iter_bits(item_mask))
+        return TransactionDatabase.from_vertical(
+            Universe(self.universe.item_at(i) for i in selected),
+            [self._columns[i] for i in selected],
+            self._n_rows,
+            backend=self._backend,
+        )
 
 
 # -- per-backend batch kernels ----------------------------------------------

@@ -3,7 +3,8 @@
 Also provides a per-test timeout fallback: the ``timeout`` ini option
 in ``pyproject.toml`` is normally handled by the ``pytest-timeout``
 plugin, but that dependency is optional — when it is absent, a
-SIGALRM-based shim here enforces the same ceiling (on platforms with
+SIGALRM-based shim here enforces the same ceiling, and a test's own
+``pytest.mark.timeout(seconds)`` in its place (on platforms with
 SIGALRM; elsewhere the ceiling is simply not enforced).
 """
 
@@ -53,9 +54,17 @@ def worker_count(request) -> int:
 if not _HAVE_PYTEST_TIMEOUT:
     import signal
 
+    def pytest_configure(config):
+        config.addinivalue_line(
+            "markers", "timeout(seconds): per-test ceiling (SIGALRM shim)"
+        )
+
     @pytest.hookimpl(wrapper=True)
     def pytest_runtest_call(item):
-        seconds = float(item.config.getini("timeout") or 0)
+        marker = item.get_closest_marker("timeout")
+        seconds = float(
+            marker.args[0] if marker else item.config.getini("timeout") or 0
+        )
         if seconds <= 0 or not hasattr(signal, "SIGALRM"):
             return (yield)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import tempfile
 from pathlib import Path
 
@@ -9,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets import fimi
 from repro.datasets.fimi import (
     read_fimi,
-    read_fimi_stream,
     write_fimi,
     write_transactions,
 )
@@ -84,10 +85,14 @@ class TestFimiRoundTrip:
                 text = path.read_text()
                 if text.endswith("\n"):
                     path.write_text(text[:-1])
-            loaded = read_fimi(path, universe=universe)
-            assert loaded.transaction_masks == database.transaction_masks
-            streamed = read_fimi_stream(path, universe=universe)
-            assert streamed.transaction_masks == database.transaction_masks
+            reference = TransactionDatabase.from_transactions(
+                transactions, universe
+            )
+            for backend in ("auto", "roaring"):
+                loaded = read_fimi(path, universe=universe, backend=backend)
+                assert loaded.transaction_masks == (
+                    reference.transaction_masks
+                )
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -97,21 +102,21 @@ class TestFimiRoundTrip:
             max_size=25,
         ).filter(lambda baskets: any(baskets))
     )
-    def test_stream_matches_read_without_universe(self, transactions):
+    def test_matches_reference_without_universe(self, transactions):
         with tempfile.TemporaryDirectory() as scratch:
-            path = Path(scratch) / "stream.dat"
+            path = Path(scratch) / "infer.dat"
             write_transactions(
                 [sorted(basket) for basket in transactions], path
             )
-            eager = read_fimi(path)
-            streamed = read_fimi_stream(path)
-            assert streamed.universe.items == eager.universe.items
-            assert streamed.transaction_masks == eager.transaction_masks
+            loaded = read_fimi(path)
+            reference = TransactionDatabase.from_transactions(transactions)
+            assert loaded.universe.items == reference.universe.items
+            assert loaded.transaction_masks == reference.transaction_masks
 
-    def test_stream_stays_vertical(self, tmp_path):
+    def test_read_stays_vertical(self, tmp_path):
         path = tmp_path / "vert.dat"
         path.write_text("1 2\n\n2 5\n")
-        database = read_fimi_stream(path)
+        database = read_fimi(path)
         assert database._rows is None
         assert database.n_transactions == 3
 
@@ -119,10 +124,62 @@ class TestFimiRoundTrip:
     def test_backend_flows_through_readers(self, backend, tmp_path):
         path = tmp_path / "be.dat"
         path.write_text("0 1\n1 2\n")
-        for reader in (read_fimi, read_fimi_stream):
-            database = reader(path, backend=backend)
-            assert database.backend == backend
-            assert database.n_transactions == 2
+        database = read_fimi(path, backend=backend)
+        assert database.backend == backend
+        assert database.n_transactions == 2
+
+    def test_item_outside_supplied_universe_is_value_error(self, tmp_path):
+        path = tmp_path / "foreign.dat"
+        path.write_text("1 2\n7\n")
+        with pytest.raises(ValueError, match="item 7 is outside"):
+            read_fimi(path, universe=Universe([1, 2]))
+
+
+#: Raw file bodies for :class:`TestReaderEdgeCases` (written in binary,
+#: so line endings reach the reader exactly as given).
+EDGE_CASES = {
+    "empty_file": "",
+    "blank_lines_only": "\n\n\n",
+    "no_trailing_newline": "1 2\n\n3",
+    "crlf": "1 2\r\n\r\n3 1\r\n",
+    "duplicate_item_in_line": "4 4 5\n5 4 5\n",
+    "other_whitespace": "1\t2  \x0b3 \n\x0c\n\x1c4\x1f5\r6\n",
+    "id_past_64_bits": f"{2**64 + 1} 3\n3\n\n",
+    "rows_63": "".join(f"{i % 5} {i % 3 + 7}\n" for i in range(63)),
+    "rows_64": "".join(f"{i % 5} {i % 3 + 7}\n" for i in range(64)),
+    "rows_65": "".join(f"{i % 5} {i % 3 + 7}\n" for i in range(65)),
+}
+
+
+class TestReaderEdgeCases:
+    """``read_fimi`` against ``from_transactions`` on the parsed lines."""
+
+    @pytest.mark.parametrize("block_chars", [1 << 20, 4])
+    @pytest.mark.parametrize("backend", ["auto", "roaring"])
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    def test_matches_reference(
+        self, case, backend, block_chars, tmp_path, monkeypatch
+    ):
+        """Also with a block of a few characters: many blocks per file."""
+        monkeypatch.setattr(fimi, "_BLOCK_CHARS", block_chars)
+        text = EDGE_CASES[case]
+        path = tmp_path / "edge.dat"
+        path.write_bytes(text.encode("ascii"))
+        lines = io.StringIO(text, newline=None).readlines()
+        reference = TransactionDatabase.from_transactions(
+            [int(token) for token in line.split()] for line in lines
+        )
+        database = read_fimi(path, backend=backend)
+        assert database.universe == reference.universe
+        assert database.n_transactions == len(lines)
+        assert database.transaction_masks == reference.transaction_masks
+
+    @pytest.mark.parametrize("backend", ["auto", "roaring"])
+    def test_non_integer_token_raises(self, backend, tmp_path):
+        path = tmp_path / "bad.dat"
+        path.write_text("1 2\n3 x\n")
+        with pytest.raises(ValueError, match="'x'"):
+            read_fimi(path, backend=backend)
 
 
 class TestQuestParameters:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -317,3 +318,66 @@ class TestRoaringBackend:
             assert roaring_projected.support_count(mask) == (
                 ref_projected.support_count(mask)
             )
+
+
+class TestColumnFirstTranspose:
+    """A column-first database answers every horizontal view exactly
+    as the row-first build does, without a per-occurrence transpose."""
+
+    @pytest.mark.timeout(8)
+    def test_large_views_match_horizontal_build(self):
+        n_rows, n_items = 100_000, 200
+        member = np.random.default_rng(12).random((n_items, n_rows)) < 0.05
+        item_rows = [np.flatnonzero(column) for column in member]
+        rows = [0] * n_rows
+        for item, indices in enumerate(item_rows):
+            bit = 1 << item
+            for row in indices.tolist():
+                rows[row] |= bit
+        universe = Universe(range(n_items))
+        horizontal = TransactionDatabase(universe, rows)
+        database = TransactionDatabase.from_columnar(
+            universe, item_rows, n_rows
+        )
+        shards = database.shards(3)
+        assert database._rows is None
+        assert [shard.transaction_masks for shard in shards] == [
+            shard.transaction_masks for shard in horizontal.shards(3)
+        ]
+        kept = sum(1 << item for item in range(0, n_items, 7))
+        assert database.project(kept).transaction_masks == (
+            horizontal.project(kept).transaction_masks
+        )
+        assert database.transaction_masks == rows
+
+    @pytest.mark.parametrize("backend", ["auto", "roaring"])
+    def test_views_cross_transpose_blocks(self, backend):
+        """Row counts around the 65536-row transpose block boundary."""
+        n_rows = (1 << 16) + 3
+        item_rows = [
+            [0, 65535, 65536, n_rows - 1], [], list(range(1, n_rows, 9))
+        ]
+        rows = [0] * n_rows
+        for item, indices in enumerate(item_rows):
+            for row in indices:
+                rows[row] |= 1 << item
+        database = TransactionDatabase.from_columnar(
+            Universe("abc"), item_rows, n_rows, backend=backend
+        )
+        assert database.transaction_masks == rows
+        assert [shard.transaction_masks for shard in database.shards(2)] == [
+            rows[: n_rows // 2 + 1], rows[n_rows // 2 + 1 :]
+        ]
+
+    @pytest.mark.parametrize("backend", ["auto", "tidset", "roaring"])
+    @pytest.mark.parametrize("bad_row", [-1, 4, 2**70])
+    def test_rows_outside_the_database_rejected(self, backend, bad_row):
+        with pytest.raises(ValueError, match="row"):
+            TransactionDatabase.from_columnar(
+                Universe("ab"), [[0, bad_row], [1]], 4, backend=backend
+            )
+
+    def test_empty_universe_keeps_rows(self):
+        database = TransactionDatabase.from_columnar(Universe([]), [], 3)
+        assert database.transaction_masks == [0, 0, 0]
+        assert [s.n_transactions for s in database.shards(2)] == [2, 1]
