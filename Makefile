@@ -179,9 +179,9 @@ coverage:
 
 # Real-scale smoke: the bench_scale suite at CI-sized row counts
 # (same code paths as the committed 1M-row BENCH_PR10.json run —
-# backend bit-identity and cover-memory reduction are still asserted;
-# the wall-clock ratio targets only apply at full scale), plus a CLI
-# mine over --backend roaring.
+# auto/roaring bit-identity and cover-memory reduction are still
+# asserted; the wall-clock ratio targets only apply at full scale),
+# plus CLI mines over both backends whose outputs must be byte-identical.
 scale-smoke:
 	$(eval SCALE_DIR := $(shell mktemp -d /tmp/scale_smoke.XXXXXX))
 	$(PYTHON) -m benchmarks.bench_scale --smoke \
@@ -189,7 +189,10 @@ scale-smoke:
 	$(PYTHON) -m repro generate $(SCALE_DIR)/smoke.dat \
 		--items 20 --transactions 500 --seed 11
 	$(PYTHON) -m repro mine $(SCALE_DIR)/smoke.dat --min-support 0.3 \
-		--algorithm eclat --backend roaring
+		--algorithm eclat --backend auto > $(SCALE_DIR)/auto.out
+	$(PYTHON) -m repro mine $(SCALE_DIR)/smoke.dat --min-support 0.3 \
+		--algorithm eclat --backend roaring > $(SCALE_DIR)/roaring.out
+	cmp $(SCALE_DIR)/auto.out $(SCALE_DIR)/roaring.out
 	$(PYTHON) -m repro mine $(SCALE_DIR)/smoke.dat --min-support 0.3 \
 		--algorithm eclat --backend roaring --workers 2
 	rm -rf $(SCALE_DIR)

@@ -1,6 +1,6 @@
 """Real-scale (1M+ rows) benchmark suite for the roaring backend.
 
-PR 5's tidset/diffset backends made vertical mining fast on Quest-sized
+The dense big-int backend made vertical mining fast on Quest-sized
 synthetic data; the memory wall the ROADMAP calls out appears at
 "millions of transactions", where every big-int cover costs
 ``n_rows / 8`` bytes *regardless of how sparse it is* — a column with
@@ -11,11 +11,11 @@ data (no network, no fixture downloads):
 
 * ``scale_dense_cover_memory`` — 1M × 2K-item clustered ("dense runs")
   data; the gated ``speedup`` is the **cover-memory ratio** (total
-  tidset cover bytes / total roaring cover bytes, ``metric:
+  dense cover bytes / total roaring cover bytes, ``metric:
   cover_bytes_ratio``), with the ISSUE's ≥4× reduction as the target.
   Wall-clock columns are the ``from_columnar`` build times.
 * ``scale_eclat_dense`` / ``scale_eclat_sparse`` — end-to-end
-  :func:`~repro.mining.eclat.eclat` wall-clock, tidset vs roaring, on
+  :func:`~repro.mining.eclat.eclat` wall-clock, dense vs roaring, on
   the clustered and the scattered-sparse workloads.  Timing comes from
   one child that interleaves the two backends (machine drift cancels
   instead of landing on one side of the ratio); the per-backend
@@ -206,7 +206,7 @@ def run_eclat_pair(n_rows: int, n_items: int, seed: int, kind: str) -> dict:
     A single mine is 20-150 ms at full scale; with each variant in its
     own process, minutes-scale machine drift lands on one side of the
     ratio and swings it ~2x, tripping the regression floor on a healthy
-    tree.  Alternating tidset/roaring rounds inside one process cancels
+    tree.  Alternating dense/roaring rounds inside one process cancels
     the drift (the PR 8 suite's interleaving trick); best-of-3 per side
     then absorbs scheduler noise.  Peak RSS is NOT meaningful here —
     both representations live in this process — which is what
@@ -218,9 +218,9 @@ def run_eclat_pair(n_rows: int, n_items: int, seed: int, kind: str) -> dict:
         backend: TransactionDatabase.from_columnar(
             universe, columns, n_rows, backend=backend
         )
-        for backend in ("tidset", "roaring")
+        for backend in ("auto", "roaring")
     }
-    seconds = {"tidset": float("inf"), "roaring": float("inf")}
+    seconds = {"auto": float("inf"), "roaring": float("inf")}
     digests = {}
     for _ in range(3):
         for backend, database in databases.items():
@@ -231,9 +231,9 @@ def run_eclat_pair(n_rows: int, n_items: int, seed: int, kind: str) -> dict:
             )
             digests[backend] = _result_digest(result)
     return {
-        "old_seconds": seconds["tidset"],
+        "old_seconds": seconds["auto"],
         "new_seconds": seconds["roaring"],
-        "outputs_equal": digests["tidset"] == digests["roaring"],
+        "outputs_equal": digests["auto"] == digests["roaring"],
     }
 
 
@@ -341,7 +341,7 @@ def run_suite(params: dict, smoke: bool) -> dict:
 
     print(f"[1/4] dense cover memory ({n_rows} rows x {n_items} items)")
     tid = measure("build", n_rows=n_rows, n_items=n_items, seed=seed,
-                  backend="tidset")
+                  backend="auto")
     roar = measure("build", n_rows=n_rows, n_items=n_items, seed=seed,
                    backend="roaring")
     ratio = tid["cover_bytes"] / max(1, roar["cover_bytes"])
@@ -354,7 +354,7 @@ def run_suite(params: dict, smoke: bool) -> dict:
             "old_cover_bytes": tid["cover_bytes"],
             "new_cover_bytes": roar["cover_bytes"],
             "note": "seconds are from_columnar build times; the gated "
-                    "speedup is tidset/roaring total cover bytes",
+                    "speedup is dense/roaring total cover bytes",
         },
         "old_seconds": round(tid["seconds"], 4),
         "new_seconds": round(roar["seconds"], 4),
@@ -371,7 +371,7 @@ def run_suite(params: dict, smoke: bool) -> dict:
     for index, kind in enumerate(("dense", "sparse"), start=2):
         print(f"[{index}/4] eclat wall-clock ({kind})")
         tid = measure("eclat", n_rows=n_rows, n_items=n_items, seed=seed,
-                      backend="tidset", kind=kind)
+                      backend="auto", kind=kind)
         roar = measure("eclat", n_rows=n_rows, n_items=n_items, seed=seed,
                        backend="roaring", kind=kind)
         pair = measure("eclat_pair", n_rows=n_rows, n_items=n_items,
@@ -389,7 +389,7 @@ def run_suite(params: dict, smoke: bool) -> dict:
                 "threshold": tid["threshold"],
                 "maximal": tid["maximal"],
                 "negative": tid["negative"],
-                "family": f"{kind} workload, tidset vs roaring end-to-end",
+                "family": f"{kind} workload, dense vs roaring end-to-end",
                 "note": "seconds are best-of-3 from one interleaved "
                         "child (drift-cancelling); RSS columns are from "
                         "the per-backend children",
@@ -442,8 +442,8 @@ def run_suite(params: dict, smoke: bool) -> dict:
         "pr": 10,
         "description": (
             "Real-scale roaring-backend suite: cover-memory reduction on "
-            "1M x 2K clustered data (gated >=4x vs tidset), end-to-end "
-            "eclat wall-clock tidset-vs-roaring on dense and sparse "
+            "1M x 2K clustered data (gated >=4x vs dense), end-to-end "
+            "eclat wall-clock dense-vs-roaring on dense and sparse "
             "workloads (gated within 1.5x), and horizontal-vs-column-first "
             "FIMI ingestion with peak-RSS columns. Deterministic "
             "generators, no network. See benchmarks/bench_scale.py."

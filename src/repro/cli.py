@@ -345,10 +345,10 @@ def _add_backend_flag(subparser: argparse.ArgumentParser) -> None:
         "--backend",
         default="auto",
         metavar="NAME",
-        help="vertical store backend for the transaction database: "
-        f"{', '.join(BACKENDS)} ('roaring' is the compressed "
-        "container-bitmap store for large row counts); unknown names "
-        "are a one-line error, exit 2",
+        help="column representation of the transaction database: "
+        "'auto' (dense big-int columns; the counting kernel is picked "
+        "per batch) or 'roaring' (compressed container bitmaps for "
+        "large row counts); any other name is a one-line error, exit 2",
     )
 
 

@@ -4,46 +4,38 @@ A transaction database is the 0/1 relation ``r`` of Section 2 of the
 paper: rows are transactions, columns are items, and the *support* of an
 itemset ``X`` is the number of rows with 1 in every column of ``X``.
 
-Three representations are kept in sync:
+The relation is held two ways:
 
 * horizontal — one bitmask per transaction (over the item universe), the
-  natural form for generators and I/O;
-* vertical — one arbitrary-precision integer per item whose bit ``t`` is
-  set when transaction ``t`` contains the item.  Support counting is then
-  a chain of big-int ANDs plus one popcount, which is orders of magnitude
-  faster in CPython than row scanning;
-* chunked vertical (lazy) — the same column bitmaps as a
-  ``(n_items, ⌈n/64⌉)`` ``uint64`` numpy matrix, built on first use by
-  :meth:`support_counts` so a *whole candidate level* is counted with a
-  handful of vectorized calls instead of one Python loop per itemset.
+  natural form for generators and I/O, derived lazily when a database
+  was built column-first;
+* vertical — one column per item whose bit ``t`` is set when transaction
+  ``t`` contains the item.  Support counting is then a chain of column
+  ANDs plus one popcount, which is orders of magnitude faster in
+  CPython than row scanning.
 
-The numpy path is an exact accelerator: counts are bit-identical to the
-pure-int path and query accounting is unchanged.  numpy also packs the
-columns of column-first builds and transposes them back to rows.
+``backend=`` picks how the columns are stored, and nothing else:
 
-The vertical column bitmaps double as Eclat's *tidsets*: the tidset of
-an itemset is the AND of its item columns (:meth:`tidset`), and its
-*diffset* relative to a prefix is the prefix rows that drop out when one
-more item is added (:meth:`diffset`) — the dEclat identity
-``supp(P∪{x}) = supp(P) − |d(P∪{x}|P)|``.  ``backend="tidset"`` and
-``backend="diffset"`` select pure big-int counting kernels phrased in
-those terms (``diffset`` counts via column complements); both are
-bit-identical to ``"int"`` and exist for the engine-equivalence tests
-and benchmarks.  The depth-first miner itself
-(:mod:`repro.mining.eclat`) memoizes covers per branch through
-:meth:`tidsets_view` / :attr:`full_tidset` rather than re-deriving them
-per query.
+* ``"auto"`` (default) — dense arbitrary-precision integers.  A large
+  batch is counted over the same bitmaps viewed as a lazily built
+  ``(n_items, ⌈n/64⌉)`` ``uint64`` numpy matrix, so a *whole candidate
+  level* costs a handful of vectorized calls instead of one Python loop
+  per itemset; small batches and small databases use the scalar AND
+  chain.  The kernel is picked per call from the batch and row counts,
+  and both return bit-identical counts.
+* ``"roaring"`` — compressed :class:`~repro.util.roaring.RoaringBitmap`
+  covers (64K-row chunks in array/bitmap/run containers): the same
+  vertical surface and counts, but per-cover memory proportional to the
+  *compressed* size instead of ``n/8`` bytes, which is what makes
+  million-row vertical mining feasible (docs/API.md §18).
 
-``backend="roaring"`` swaps the big-int columns for compressed
-:class:`~repro.util.roaring.RoaringBitmap` covers (64K-row chunks in
-array/bitmap/run containers) — the same vertical surface, bit-identical
-counts, but per-cover memory proportional to the *compressed* size
-instead of ``n/8`` bytes, which is what makes million-row vertical
-mining feasible (docs/API.md §18).
-
-Backend dispatch lives in one per-backend kernel table
-(``_BATCH_KERNELS``), so registering a new backend is one entry, not a
-chain of string comparisons per call site.
+Rows become columns through one block-wise numpy transpose
+(:meth:`TransactionDatabase._build_columns`) feeding the packer of the
+column-first constructor (:meth:`TransactionDatabase.from_columnar`);
+columns become rows through its mirror image
+(:meth:`TransactionDatabase._row_block`).  The depth-first miner
+(:mod:`repro.mining.eclat`) seeds its tidsets from :meth:`tidsets_view`
+/ :attr:`full_tidset` and memoizes covers and diffsets per branch.
 """
 
 from __future__ import annotations
@@ -53,31 +45,41 @@ from collections.abc import Hashable, Iterable, Sequence
 import numpy as _np
 
 from repro.util.bitset import Universe, iter_bits, popcount
-from repro.util.roaring import RoaringBitmap
+from repro.util.roaring import CHUNK, RoaringBitmap
 
-# np.bitwise_count arrived in numpy 2.0; without it the pure-int kernel
-# is used (correctness is identical either way).
+# np.bitwise_count arrived in numpy 2.0; without it the scalar kernel is
+# used (correctness is identical either way).
 _HAS_VECTOR_POPCOUNT = hasattr(_np, "bitwise_count")
 
-# Backend names; the authoritative registry is the _BATCH_KERNELS
-# table after the class body (one entry per backend).
-_BACKENDS = ("auto", "numpy", "int", "tidset", "diffset", "roaring")
-
-#: Public name for the accepted ``backend=`` values (the CLI's
-#: ``--backend`` flag validates against this exact tuple).
-BACKENDS = _BACKENDS
-# Below these sizes the big-int kernel wins on dispatch overhead alone.
+#: The accepted ``backend=`` values, one per column representation (the
+#: CLI's ``--backend`` flag validates against this exact tuple).
+BACKENDS = ("auto", "roaring")
+# Below these sizes the scalar kernel wins on dispatch overhead alone.
 _AUTO_MIN_ROWS = 128
 _AUTO_MIN_BATCH = 64
 # Vectorized groups are processed in blocks so the shared-conjunction
 # working set stays cache-resident (larger blocks thrash measurably).
 _BATCH_BLOCK = 2048
-# Rows per _rows_view transpose block: one roaring chunk.
-_TRANSPOSE_BLOCK = 1 << 16
+# Bytes of unpacked bits (one per row × item) per transpose block, in
+# both directions; the transposed copy doubles it.
+_TRANSPOSE_BYTES = 1 << 24
 
 _U0 = _np.uint64(0)
 _U1 = _np.uint64(1)
 _U6 = _np.uint64(6)
+
+
+def _block_rows(n_items: int) -> int:
+    """Rows per transpose block: the largest power of two whose unpacked
+    bits fit :data:`_TRANSPOSE_BYTES` (at least 8)."""
+    return 1 << max(3, (_TRANSPOSE_BYTES // max(1, n_items)).bit_length() - 1)
+
+
+def _check_backend(backend: str) -> None:
+    if backend not in BACKENDS:
+        raise ValueError(
+            f"unknown backend {backend!r}; expected one of {BACKENDS}"
+        )
 
 
 class TransactionDatabase:
@@ -86,16 +88,12 @@ class TransactionDatabase:
     Args:
         universe: the item universe (column order).
         transaction_masks: one bitmask per row over ``universe``.
-        backend: vertical-counting backend — ``"auto"`` (default: numpy
-            for large batched workloads, big-int otherwise), ``"numpy"``
-            (force the chunked-bitmap path where possible), ``"int"``
-            (pure big-int, the seed behavior), ``"tidset"`` (big-int
-            tidset intersections, the Eclat view of ``"int"``),
-            ``"diffset"`` (count through column complements, the dEclat
-            identity), or ``"roaring"`` (compressed container bitmaps
-            for million-row covers).  All backends return bit-identical
-            counts; the knob exists for benchmarks, the equivalence
-            tests, and the memory/speed trade at scale.
+        backend: column representation — ``"auto"`` (default: dense
+            big-int columns, counted by the scalar or the numpy kernel
+            as the batch warrants) or ``"roaring"`` (compressed
+            container bitmaps for million-row covers).  Both return
+            bit-identical counts; the choice trades memory for speed
+            at scale.
 
     Rows may repeat (multiset semantics, as in market-basket data).
     """
@@ -119,10 +117,7 @@ class TransactionDatabase:
         *,
         backend: str = "auto",
     ):
-        if backend not in _BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {_BACKENDS}"
-            )
+        _check_backend(backend)
         self.universe = universe
         rows = list(transaction_masks)
         for row in rows:
@@ -130,10 +125,9 @@ class TransactionDatabase:
                 raise ValueError("transaction uses items outside the universe")
         self._rows: list[int] | None = rows
         self._n_rows: int = len(rows)
-        if backend == "roaring":
-            self._columns = self._build_roaring_columns(rows, len(universe))
-        else:
-            self._columns = self._build_columns(rows, len(universe))
+        self._columns = self._build_columns(
+            rows, len(universe), backend=backend
+        )
         self._backend = backend
         self._matrix = None  # chunked vertical bitmaps, built lazily
 
@@ -154,14 +148,10 @@ class TransactionDatabase:
         a counting-equivalent instance without ever materializing the
         horizontal row list.  Rows are derived lazily (and only) when a
         horizontal view is actually requested (``transaction_masks``,
-        ``project``, iteration); every counting path — ``support_count``,
-        ``support_counts``, tidsets, diffsets — works straight off the
-        columns.
+        iteration); every counting path — ``support_count``,
+        ``support_counts``, tidsets — works straight off the columns.
         """
-        if backend not in _BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {_BACKENDS}"
-            )
+        _check_backend(backend)
         if len(columns) != len(universe):
             raise ValueError(
                 f"expected {len(universe)} columns, got {len(columns)}"
@@ -208,52 +198,111 @@ class TransactionDatabase:
         Instances built by :meth:`from_vertical` carry no rows until a
         horizontal consumer asks; the transpose (:meth:`_row_block`)
         preserves the row order the columns encode, so a round trip is
-        the identity.
+        the identity.  Roaring columns are made dense one whole-chunk
+        span at a time (a chunk-aligned slice shares its containers, so
+        each container is read once); every block is then cut from
+        dense ints by shifts.
         """
         if self._rows is None:
+            n_rows = self._n_rows
+            step = _block_rows(len(self._columns))
+            roaring = self._backend == "roaring"
+            span = max(step, CHUNK) if roaring else max(n_rows, 1)
             rows: list[int] = []
-            for start in range(0, self._n_rows, _TRANSPOSE_BLOCK):
-                rows += self._row_block(
-                    start, min(start + _TRANSPOSE_BLOCK, self._n_rows)
+            for base in range(0, n_rows, span):
+                top = min(base + span, n_rows)
+                dense = (
+                    [col.sliced(base, top).to_int() for col in self._columns]
+                    if roaring else self._columns
                 )
+                for start in range(base, top, step):
+                    rows += self._row_block(
+                        dense, start - base, min(start + step, top) - base
+                    )
             self._rows = rows
         return self._rows
 
-    def _row_block(self, start: int, stop: int) -> list[int]:
-        """Rows ``start .. stop-1``: the columns' bits unpacked to an
-        ``items × rows`` matrix and packed back along the row axis."""
-        block = self._column_slices(start, stop)
-        if self._backend == "roaring":
-            block = [col.to_int() for col in block]
+    @staticmethod
+    def _row_block(columns: Sequence[int], start: int, stop: int) -> list[int]:
+        """Rows ``start .. stop-1`` of the dense ``columns``: their bits
+        unpacked to an ``items × rows`` matrix and packed back along the
+        row axis."""
+        keep = (1 << (stop - start)) - 1
         n_bytes = (stop - start + 7) // 8
         bits = _np.unpackbits(
             _np.frombuffer(
-                b"".join(col.to_bytes(n_bytes, "little") for col in block),
+                b"".join(
+                    ((col >> start) & keep).to_bytes(n_bytes, "little")
+                    for col in columns
+                ),
                 dtype=_np.uint8,
-            ).reshape(len(block), n_bytes),
+            ).reshape(len(columns), n_bytes),
             axis=1, count=stop - start, bitorder="little",
         )
         packed = _np.packbits(bits.T, axis=1, bitorder="little")
         return [int.from_bytes(row, "little") for row in packed]
 
     @staticmethod
-    def _build_columns(rows: Sequence[int], n_items: int) -> list[int]:
-        columns = [0] * n_items
-        for row_index, row in enumerate(rows):
-            row_bit = 1 << row_index
-            for item_index in iter_bits(row):
-                columns[item_index] |= row_bit
-        return columns
+    def _build_columns(
+        rows: Sequence[int], n_items: int, *, backend: str | None = None
+    ) -> list:
+        """Per-item row indices of the row masks ``rows`` (ascending
+        ``intp`` arrays), the mirror of :meth:`_row_block`: each block of
+        rows is unpacked to a ``rows × items`` bit matrix whose
+        transpose's nonzeros are the (item, row) pairs in item order.
+        Given a ``backend``, the indices are packed into its columns by
+        :meth:`_pack_columns`."""
+        n_bytes = (n_items + 7) // 8
+        step = _block_rows(n_items)
+        blocks = []
+        for start in range(0, len(rows), step):
+            chunk = rows[start : start + step]
+            bits = _np.unpackbits(
+                _np.frombuffer(
+                    b"".join(row.to_bytes(n_bytes, "little") for row in chunk),
+                    dtype=_np.uint8,
+                ).reshape(len(chunk), n_bytes),
+                axis=1, count=n_items, bitorder="little",
+            )
+            items, offsets = _np.nonzero(bits.T)
+            offsets += start
+            bounds = _np.searchsorted(items, _np.arange(n_items + 1)).tolist()
+            blocks.append([
+                offsets[lo:hi] for lo, hi in zip(bounds, bounds[1:])
+            ])
+        item_rows = (
+            [_np.concatenate(parts) for parts in zip(*blocks)]
+            if blocks else [_np.empty(0, dtype=_np.intp)] * n_items
+        )
+        if backend is None:
+            return item_rows
+        return TransactionDatabase._pack_columns(item_rows, len(rows), backend)
 
     @staticmethod
-    def _build_roaring_columns(
-        rows: Sequence[int], n_items: int
-    ) -> list[RoaringBitmap]:
-        item_rows: list[list[int]] = [[] for _ in range(n_items)]
-        for row_index, row in enumerate(rows):
-            for item_index in iter_bits(row):
-                item_rows[item_index].append(row_index)
-        return [RoaringBitmap.from_indices(r) for r in item_rows]
+    def _pack_columns(
+        item_rows: Sequence[Iterable[int]], n_rows: int, backend: str
+    ) -> list:
+        """Per-item row indices packed into columns of ``backend``.
+
+        A dense column is its rows set in a numpy bit buffer, then one
+        ``int.from_bytes``; a ``"roaring"`` column is built by its
+        container builder, with no dense buffer.  numpy and
+        ``array("Q")`` index arrays are read without a copy.
+        """
+        columns: list = []
+        for rows in item_rows:
+            rows = _np.asarray(rows)
+            if rows.size and not 0 <= rows.min() <= rows.max() < n_rows:
+                raise ValueError("column uses rows outside the database")
+            if backend == "roaring":
+                columns.append(RoaringBitmap.from_indices(rows.tolist()))
+                continue
+            bits = _np.zeros(n_rows, dtype=bool)
+            bits[rows.astype(_np.intp)] = True
+            columns.append(int.from_bytes(
+                _np.packbits(bits, bitorder="little").tobytes(), "little"
+            ))
+        return columns
 
     @classmethod
     def from_columnar(
@@ -267,38 +316,20 @@ class TransactionDatabase:
         """Build from per-item row-index lists, skipping row bitmasks.
 
         The column-first ingestion constructor of ``read_fimi`` and
-        ``read_baskets_csv``.  Each int column is packed by numpy (its
-        rows set in a bit buffer, then one ``int.from_bytes``); each
-        ``"roaring"`` column is built by its container builder, with no
-        dense buffer.  numpy and ``array("Q")`` index arrays are read
-        without a copy.
+        ``read_baskets_csv``; columns are packed by
+        :meth:`_pack_columns`, as in the horizontal constructor.
         """
-        if backend not in _BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {_BACKENDS}"
-            )
+        _check_backend(backend)
         if len(item_rows) != len(universe):
             raise ValueError(
                 f"expected {len(universe)} item row lists, "
                 f"got {len(item_rows)}"
             )
-        item_rows = [_np.asarray(rows) for rows in item_rows]
-        if backend == "roaring":
-            columns: list = [
-                RoaringBitmap.from_indices(rows.tolist()) for rows in item_rows
-            ]
-        else:
-            columns = []
-            for rows in item_rows:
-                if rows.size and not 0 <= rows.min() <= rows.max() < n_rows:
-                    raise ValueError("column uses rows outside the database")
-                bits = _np.zeros(n_rows, dtype=bool)
-                bits[rows.astype(_np.intp)] = True
-                columns.append(int.from_bytes(
-                    _np.packbits(bits, bitorder="little").tobytes(), "little"
-                ))
         return cls.from_vertical(
-            universe, columns, n_rows, backend=backend
+            universe,
+            cls._pack_columns(item_rows, n_rows, backend),
+            n_rows,
+            backend=backend,
         )
 
     @classmethod
@@ -416,47 +447,38 @@ class TransactionDatabase:
                 return 0
         return popcount(accumulator)
 
-    def support_counts(
-        self,
-        itemset_masks: Iterable[int],
-        *,
-        backend: str | None = None,
-    ) -> list[int]:
+    def support_counts(self, itemset_masks: Iterable[int]) -> list[int]:
         """Support counts of a whole batch of itemsets in one pass.
 
         The batched form of :meth:`support_count`: semantically
         ``[self.support_count(m) for m in itemset_masks]``, bit for bit.
-        On the numpy backend the batch is grouped by itemset size and
-        each group is resolved with a vectorized AND-reduce plus
+        On dense columns a batch of at least ``_AUTO_MIN_BATCH`` masks
+        over at least ``_AUTO_MIN_ROWS`` rows is grouped by itemset size
+        and each group is resolved with a vectorized AND-reduce plus
         ``bitwise_count`` over the chunked vertical bitmaps, amortizing
         all per-itemset Python dispatch — the level-at-a-time database
-        pass of practical Apriori implementations.
-
-        Args:
-            itemset_masks: the itemsets to count, any iterable of masks.
-            backend: optional per-call override of the instance backend.
+        pass of practical Apriori implementations.  Roaring columns and
+        small batches take the scalar AND chain.
         """
         masks = list(itemset_masks)
-        chosen = self._backend if backend is None else backend
-        kernel = _BATCH_KERNELS.get(chosen)
-        if kernel is None:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {_BACKENDS}"
-            )
-        return kernel(self, masks)
+        if (
+            _HAS_VECTOR_POPCOUNT
+            and self._backend != "roaring"
+            and len(masks) >= _AUTO_MIN_BATCH
+            and self._n_rows >= _AUTO_MIN_ROWS
+        ):
+            return self._support_counts_numpy(masks)
+        count = self.support_count
+        return [count(mask) for mask in masks]
 
     def _vertical_matrix(self):
-        """The chunked vertical bitmaps: ``(n_items, ⌈n/64⌉)`` uint64."""
+        """The chunked vertical bitmaps of dense columns:
+        ``(n_items, ⌈n/64⌉)`` uint64."""
         if self._matrix is None:
             n_chunks = (self._n_rows + 63) // 64
             n_bytes = n_chunks * 8
-            columns = self._columns
-            if self._backend == "roaring":
-                # Per-call backend="numpy" on a compressed database:
-                # decompress once, then count vectorized as usual.
-                columns = [column.to_int() for column in columns]
             packed = b"".join(
-                column.to_bytes(n_bytes, "little") for column in columns
+                column.to_bytes(n_bytes, "little") for column in self._columns
             )
             self._matrix = _np.frombuffer(packed, dtype="<u8").reshape(
                 len(self._columns), n_chunks
@@ -627,27 +649,6 @@ class TransactionDatabase:
                 )
         return out.tolist()
 
-    def _support_count_diffset(self, itemset_mask: int) -> int:
-        """Support via complements: rows missing *some* item of the mask.
-
-        ``supp(X) = n − |⋃_{x∈X} (T \\ t(x))|`` — the dEclat phrasing of
-        the same count.  Bit-identical to :meth:`support_count`.
-        """
-        if itemset_mask == 0:
-            return self._n_rows
-        columns = self._columns
-        if self._backend == "roaring":
-            full = (1 << self._n_rows) - 1
-            missing = 0
-            for item_index in iter_bits(itemset_mask):
-                missing |= full & ~columns[item_index].to_int()
-            return self._n_rows - popcount(missing)
-        full = self.full_tidset
-        missing = 0
-        for item_index in iter_bits(itemset_mask):
-            missing |= full & ~columns[item_index]
-        return self._n_rows - popcount(missing)
-
     # -- tidsets (the Eclat vertical surface) --------------------------------
 
     @property
@@ -670,33 +671,6 @@ class TransactionDatabase:
         list.
         """
         return self._columns
-
-    def tidset(self, itemset_mask: int) -> int:
-        """Bitmask of the transactions containing every item of the mask.
-
-        ``support_count(m) == popcount(tidset(m))`` by construction; the
-        empty itemset's tidset is :attr:`full_tidset`.
-        """
-        if itemset_mask == 0:
-            return self.full_tidset
-        columns = self._columns
-        bits = iter_bits(itemset_mask)
-        accumulator = columns[next(bits)]
-        for item_index in bits:
-            accumulator &= columns[item_index]
-        return accumulator
-
-    def diffset(self, itemset_mask: int, item_index: int) -> int:
-        """Transactions of the itemset that *lack* ``item_index``.
-
-        ``d(X∪{x} | X) = t(X) \\ t(x)`` — the dEclat difference list;
-        ``supp(X∪{x}) = supp(X) − popcount(diffset(X, x))``.
-        """
-        if self._backend == "roaring":
-            return self.tidset(itemset_mask).andnot(
-                self._columns[item_index]
-            )
-        return self.tidset(itemset_mask) & ~self._columns[item_index]
 
     def frequency(self, itemset_mask: int) -> float:
         """Relative support in ``[0, 1]`` (0.0 for an empty database)."""
@@ -740,55 +714,3 @@ class TransactionDatabase:
             self._n_rows,
             backend=self._backend,
         )
-
-
-# -- per-backend batch kernels ----------------------------------------------
-#
-# One entry per backend: ``backend name → batch counting kernel``.  This
-# table is the single registration point — `support_counts` dispatches
-# through it, and `_BACKENDS` (the validated name set) must match its
-# keys.  A new backend is one row here plus whatever representation
-# branches it needs, not a string-comparison chain per call site.
-
-
-def _batch_scalar(database: TransactionDatabase, masks: list[int]) -> list[int]:
-    """One AND-chain per mask over the instance's columns (int or
-    roaring — ``support_count`` is representation-agnostic)."""
-    count = database.support_count
-    return [count(mask) for mask in masks]
-
-
-def _batch_diffset(
-    database: TransactionDatabase, masks: list[int]
-) -> list[int]:
-    count = database._support_count_diffset
-    return [count(mask) for mask in masks]
-
-
-def _batch_numpy(database: TransactionDatabase, masks: list[int]) -> list[int]:
-    if not _HAS_VECTOR_POPCOUNT:
-        return _batch_scalar(database, masks)
-    return database._support_counts_numpy(masks)
-
-
-def _batch_auto(database: TransactionDatabase, masks: list[int]) -> list[int]:
-    if (
-        _HAS_VECTOR_POPCOUNT
-        and len(masks) >= _AUTO_MIN_BATCH
-        and database._n_rows >= _AUTO_MIN_ROWS
-        and database._backend != "roaring"
-    ):
-        return database._support_counts_numpy(masks)
-    return _batch_scalar(database, masks)
-
-
-_BATCH_KERNELS = {
-    "auto": _batch_auto,
-    "numpy": _batch_numpy,
-    "int": _batch_scalar,
-    "tidset": _batch_scalar,
-    "diffset": _batch_diffset,
-    "roaring": _batch_scalar,
-}
-
-assert set(_BATCH_KERNELS) == set(_BACKENDS)

@@ -25,7 +25,7 @@ can be far smaller than its diffset's row count suggests, so the
 byte-size rule reflects the memory the branch actually holds.  The
 heuristic only picks a representation — masks, supports, evaluation
 order, and hence theory/borders/accounting stay bit-identical to the
-int backends (property-tested).
+dense backend (property-tested).
 
 The levelwise engine re-derives every support from raw column bitmaps
 (an ``|X|``-way AND per candidate); here each support reuses the
@@ -176,7 +176,7 @@ def _expand(
 #: Estimated bytes per row of a would-be diffset in container form
 #: (an array container stores one u16 per row).  The roaring
 #: tidset→diffset switch compares real tidset container bytes against
-#: this estimate — both sides in bytes, unlike the int backends' row
+#: this estimate — both sides in bytes, unlike the dense backend's row
 #: counts — so branches convert exactly when the conversion shrinks the
 #: memoized covers.
 _DIFF_BYTES_PER_ROW = 2
@@ -197,7 +197,7 @@ def _expand_roaring(
     Identical traversal, supports, and rejection order — only the cover
     arithmetic (`&`/`andnot` on :class:`RoaringBitmap`) and the switch
     currency (container bytes vs rows) differ, so results stay
-    bit-identical to the int backends.
+    bit-identical to the dense backend.
     """
     members: list = []
     if is_diff:

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field, replace
 from repro.datasets.transactions import TransactionDatabase
 from repro.mining.eclat import _maximal_from_supports, eclat
 from repro.obs.tracer import as_tracer
-from repro.util.bitset import iter_bits, popcount
+from repro.util.bitset import popcount
 from repro.util.prefix import parents_all_in
 
 __all__ = [
@@ -225,7 +225,9 @@ def append_database(
     """A new database with ``delta_masks`` appended, built vertically.
 
     Columns are extended in place of re-transposing the whole horizontal
-    row list: ``new_col = old_col | (delta_col << n_old)``, then
+    row list: only the delta rows go through the constructor's transpose
+    (``_build_columns``), then ``new_col = old_col | (delta_col << n_old)``
+    (or a roaring append) and
     :meth:`~repro.datasets.transactions.TransactionDatabase.from_vertical`
     — O(items · delta) instead of O(items · rows).
     """
@@ -234,19 +236,18 @@ def append_database(
         if mask & ~universe.full_mask:
             raise ValueError("appended transaction uses unknown items")
     n_old = database.n_transactions
-    delta_columns = [0] * len(universe)
-    for row_index, row in enumerate(delta_masks):
-        row_bit = 1 << row_index
-        for item_index in iter_bits(row):
-            delta_columns[item_index] |= row_bit
     if database.backend == "roaring":
+        item_rows = TransactionDatabase._build_columns(
+            delta_masks, len(universe)
+        )
         columns = [
-            column.with_appended(
-                n_old + row_index for row_index in iter_bits(delta)
-            )
-            for column, delta in zip(database.tidsets_view(), delta_columns)
+            column.with_appended((rows + n_old).tolist())
+            for column, rows in zip(database.tidsets_view(), item_rows)
         ]
     else:
+        delta_columns = TransactionDatabase._build_columns(
+            delta_masks, len(universe), backend="auto"
+        )
         columns = [
             column | (delta << n_old)
             for column, delta in zip(database.tidsets_view(), delta_columns)

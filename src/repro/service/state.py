@@ -186,10 +186,14 @@ class ServiceCore:
         checkpoint.validate_for("service", universe)
         try:
             payload = checkpoint.state
+            # Older snapshots may name a retired dense backend ("int",
+            # "tidset", ...); its columns are the "auto" ones.
+            backend = payload.get("backend")
+            backend = "roaring" if backend == "roaring" else "auto"
             database = TransactionDatabase(
                 universe,
                 [int(r) for r in payload["rows"]],
-                backend=str(payload.get("backend", "auto")),
+                backend=backend,
             )
             state = MaintainedTheory(
                 database=database,

@@ -1,6 +1,6 @@
 """Zero-dependency roaring-style compressed bitmaps for vertical covers.
 
-The tidset/diffset backends phrase Eclat covers as arbitrary-precision
+The dense (``"auto"``) backend phrases Eclat covers as arbitrary-precision
 integers: one bit per transaction.  At millions of rows a single dense
 cover costs ``n/8`` bytes (125 KB at 1M rows) *regardless of content*,
 and the depth-first miner memoizes one cover per live branch — the
@@ -33,6 +33,7 @@ for the shared-memory plane and for compact pickling (``__reduce__``).
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from sys import byteorder as _BYTEORDER
 
@@ -472,7 +473,8 @@ class RoaringBitmap:
         """Rows in ``[start, stop)``, re-indexed to start at 0.
 
         Chunk-aligned ``start`` (``start % 65536 == 0``, the shard case)
-        shares interior containers; other offsets rebuild from indices.
+        shares interior containers; other offsets rebuild from the
+        indices of the containers the window overlaps.
         """
         if start < 0:
             raise ValueError("start must be non-negative")
@@ -481,10 +483,13 @@ class RoaringBitmap:
         if stop < start:
             raise ValueError("stop must be at least start")
         if start & 0xFFFF:
+            lo = bisect_left(self._keys, start >> 16)
+            hi = bisect_left(self._keys, (stop + 0xFFFF) >> 16)
+            window = RoaringBitmap._assemble(
+                self._keys[lo:hi], self._cons[lo:hi]
+            )
             return RoaringBitmap.from_indices(
-                index - start
-                for index in self
-                if start <= index < stop
+                index - start for index in window if start <= index < stop
             )
         key_offset = start >> 16
         keys: list[int] = []

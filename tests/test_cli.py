@@ -314,9 +314,7 @@ class TestBackendFlag:
         capsys.readouterr()
         return path
 
-    @pytest.mark.parametrize(
-        "backend", ["auto", "numpy", "int", "tidset", "diffset", "roaring"]
-    )
+    @pytest.mark.parametrize("backend", ["auto", "roaring"])
     def test_every_backend_prints_identical_theory(
         self, dataset, capsys, backend
     ):
@@ -353,6 +351,20 @@ class TestBackendFlag:
         assert err.count("\n") == 1
         assert "error:" in err
         assert "bitpacked" in err and "roaring" in err
+
+    @pytest.mark.parametrize("backend", ["int", "numpy", "tidset", "diffset"])
+    def test_retired_backend_one_line_error_exit_2(self, capsys, backend):
+        # The dense aliases of "auto" are gone; like any unknown name
+        # they fail on the flag, before the (missing) file is read.
+        assert (
+            main(["mine", "/nonexistent/file.dat", "--backend", backend])
+            == 2
+        )
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"unknown --backend {backend!r}" in err
+        assert "auto, roaring" in err
+        assert "cannot read" not in err
 
     def test_unknown_backend_rejected_before_file_io(self, capsys):
         # Validation precedes reading, so even a missing data file

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets import ColumnarBuilder, read_baskets_csv
-from repro.datasets.transactions import TransactionDatabase
+from repro.datasets.transactions import BACKENDS, TransactionDatabase
 from repro.util.bitset import Universe
 
 transactions_strategy = st.lists(
@@ -103,11 +103,18 @@ class TestColumnarBuilder:
         "backend", ["auto", "int", "tidset", "diffset", "roaring"]
     )
     def test_backend_passthrough(self, backend):
+        """Accepted names reach the database; the retired dense names
+        ("int", "tidset", "diffset") are refused when it is built."""
         builder = ColumnarBuilder(backend=backend)
         builder.add([1, 2])
         builder.add([2, 5])
+        if backend not in BACKENDS:
+            with pytest.raises(ValueError, match="unknown backend"):
+                builder.to_database()
+            return
         db = builder.to_database()
-        _, expected = _reference([{1, 2}, {2, 5}], backend="tidset")
+        assert db.backend == backend
+        _, expected = _reference([{1, 2}, {2, 5}])
         assert db.transaction_masks == expected.transaction_masks
         for mask in db.universe.singletons():
             assert db.support_count(mask) == expected.support_count(mask)

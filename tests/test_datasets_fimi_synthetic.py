@@ -120,7 +120,7 @@ class TestFimiRoundTrip:
         assert database._rows is None
         assert database.n_transactions == 3
 
-    @pytest.mark.parametrize("backend", ["tidset", "roaring"])
+    @pytest.mark.parametrize("backend", ["auto", "roaring"])
     def test_backend_flows_through_readers(self, backend, tmp_path):
         path = tmp_path / "be.dat"
         path.write_text("0 1\n1 2\n")

@@ -7,8 +7,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets import transactions
 from repro.datasets.transactions import TransactionDatabase
 from repro.util.bitset import Universe
+
+
+def _reference_columns(rows, n_items):
+    """Column ``i`` with bit ``t`` set when row ``t`` holds item ``i``,
+    built one OR per item occurrence."""
+    columns = [0] * n_items
+    for t, row in enumerate(rows):
+        for item in range(n_items):
+            if row >> item & 1:
+                columns[item] |= 1 << t
+    return columns
+
+
+def _as_ints(database):
+    return [
+        column if isinstance(column, int) else column.to_int()
+        for column in database.tidsets_view()
+    ]
 
 
 class TestConstruction:
@@ -142,7 +161,7 @@ class TestDunders:
 
 
 class TestVerticalBackends:
-    """The tidset/diffset surface and six-way backend agreement."""
+    """The tidset surface and the two counting kernels."""
 
     @pytest.fixture
     def database(self):
@@ -162,63 +181,66 @@ class TestVerticalBackends:
     ):
         universe = Universe(range(n_items))
         rows = [rng.randrange(1 << n_items) for _ in range(n_rows)]
-        database = TransactionDatabase(universe, rows)
         masks = [mask & ((1 << n_items) - 1) for mask in masks]
-        reference = database.support_counts(masks, backend="int")
-        for backend in ("auto", "numpy", "tidset", "diffset", "roaring"):
-            assert (
-                database.support_counts(masks, backend=backend) == reference
-            ), backend
+        reference = [
+            TransactionDatabase(universe, rows).support_count(mask)
+            for mask in masks
+        ]
+        for backend in ("auto", "roaring"):
+            database = TransactionDatabase(universe, rows, backend=backend)
+            assert database.support_counts(masks) == reference, backend
+
+    @pytest.mark.skipif(
+        not transactions._HAS_VECTOR_POPCOUNT,
+        reason="the numpy kernel needs np.bitwise_count (numpy 2)",
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([5, 64, 65, 130]),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=150),
+        st.randoms(use_true_random=False),
+    )
+    def test_numpy_kernel_matches_scalar(self, n_items, n_rows, n_masks, rng):
+        """The vectorized kernel against the scalar reference, on 1-chunk
+        (≤ 64 items) and multi-chunk universes, below the auto cutoffs."""
+        universe = Universe(range(n_items))
+        rows = [rng.getrandbits(n_items) for _ in range(n_rows)]
+        masks = [0] + [
+            rng.getrandbits(n_items) & rng.getrandbits(n_items)
+            for _ in range(n_masks)
+        ]
+        database = TransactionDatabase(universe, rows)
+        assert database._support_counts_numpy(masks) == [
+            database.support_count(mask) for mask in masks
+        ]
 
     def test_full_tidset_covers_every_row(self, database):
         assert database.full_tidset == 0b11111
-        assert database.tidset(0) == database.full_tidset
-
-    def test_tidset_popcount_is_support(self, database):
-        for mask in range(1 << database.n_items):
-            assert (
-                database.tidset(mask).bit_count()
-                == database.support_count(mask)
-            ), bin(mask)
 
     def test_tidsets_view_holds_singleton_columns(self, database):
         columns = database.tidsets_view()
         assert len(columns) == database.n_items
         for item_index, column in enumerate(columns):
-            assert column == database.tidset(1 << item_index)
-
-    def test_diffset_identity(self, database):
-        """``supp(X∪{x}) = supp(X) − |d(X∪{x} | X)|`` (the dEclat law)."""
-        for mask in range(1 << database.n_items):
-            for item_index in range(database.n_items):
-                if mask >> item_index & 1:
-                    continue
-                child = mask | (1 << item_index)
-                diff = database.diffset(mask, item_index)
-                assert database.support_count(child) == (
-                    database.support_count(mask) - diff.bit_count()
-                )
-                assert diff == database.tidset(mask) & ~database.tidset(
-                    1 << item_index
-                )
-
-    def test_diffset_counting_kernel(self, database):
-        assert database._support_count_diffset(0) == database.n_transactions
-        for mask in range(1 << database.n_items):
-            assert database._support_count_diffset(mask) == (
-                database.support_count(mask)
+            assert column == sum(
+                1 << t
+                for t, row in enumerate(database.transaction_masks)
+                if row >> item_index & 1
             )
 
-    def test_unknown_backend_rejected(self, database):
-        with pytest.raises(ValueError):
-            TransactionDatabase(Universe("A"), [1], backend="columnar")
-        with pytest.raises(ValueError):
-            database.support_counts([0], backend="columnar")
+    def test_unknown_backend_rejected(self):
+        for backend in ("columnar", "int", "numpy", "tidset", "diffset"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                TransactionDatabase(Universe("A"), [1], backend=backend)
+            with pytest.raises(ValueError, match="unknown backend"):
+                TransactionDatabase.from_columnar(
+                    Universe("A"), [[0]], 1, backend=backend
+                )
 
     def test_backend_property_reports_choice(self):
-        database = TransactionDatabase(Universe("A"), [1], backend="diffset")
-        assert database.backend == "diffset"
-        assert database.shards(2)[0].backend == "diffset"
+        database = TransactionDatabase(Universe("A"), [1], backend="roaring")
+        assert database.backend == "roaring"
+        assert database.shards(2)[0].backend == "roaring"
 
 
 class TestRoaringBackend:
@@ -234,7 +256,7 @@ class TestRoaringBackend:
     def _pair(rows, n_items=5):
         universe = Universe(range(n_items))
         return (
-            TransactionDatabase(universe, rows, backend="tidset"),
+            TransactionDatabase(universe, rows),
             TransactionDatabase(universe, rows, backend="roaring"),
         )
 
@@ -250,17 +272,13 @@ class TestRoaringBackend:
         rows = [rng.randrange(1 << n_items) for _ in range(n_rows)]
         reference, roaring = self._pair(rows, n_items)
         assert roaring.full_tidset.to_int() == reference.full_tidset
+        assert [column.to_int() for column in roaring.tidsets_view()] == (
+            reference.tidsets_view()
+        )
         for mask in range(1 << n_items):
-            assert roaring.tidset(mask).to_int() == reference.tidset(mask)
             assert roaring.support_count(mask) == (
                 reference.support_count(mask)
             )
-            for item_index in range(n_items):
-                if mask >> item_index & 1:
-                    continue
-                assert roaring.diffset(mask, item_index).to_int() == (
-                    reference.diffset(mask, item_index)
-                )
 
     def test_columns_are_roaring_bitmaps(self):
         from repro.util.roaring import RoaringBitmap
@@ -302,7 +320,7 @@ class TestRoaringBackend:
             [t for t, basket in enumerate(transactions) if item in basket]
             for item in range(8)
         ]
-        for backend in ("auto", "tidset", "roaring"):
+        for backend in ("auto", "roaring"):
             built = TransactionDatabase.from_columnar(
                 universe, item_rows, len(transactions), backend=backend
             )
@@ -350,9 +368,44 @@ class TestColumnFirstTranspose:
         )
         assert database.transaction_masks == rows
 
+    @pytest.mark.timeout(20)
+    def test_wide_roaring_rows_slice_whole_chunks(self, monkeypatch):
+        """100K rows × 2000 items: row blocks are far below a 65536-row
+        chunk, yet the roaring row view slices each column only at chunk
+        bounds (the container-sharing path) instead of once per block."""
+        n_rows, n_items = 100_000, 2000
+        rng = np.random.default_rng(8)
+        item_rows = [
+            np.flatnonzero(rng.random(n_rows) < 0.002)
+            for _ in range(n_items)
+        ]
+        database = TransactionDatabase.from_columnar(
+            Universe(range(n_items)), item_rows, n_rows, backend="roaring"
+        )
+        assert transactions._block_rows(n_items) < transactions.CHUNK
+        starts = []
+        sliced = transactions.RoaringBitmap.sliced
+
+        def spy(bitmap, start, stop=None):
+            starts.append(start)
+            return sliced(bitmap, start, stop)
+
+        monkeypatch.setattr(transactions.RoaringBitmap, "sliced", spy)
+        rows = database.transaction_masks
+        assert set(starts) == {0, transactions.CHUNK}
+        for item in (0, 999, 1999):
+            expected = item_rows[item].tolist()
+            assert [r for r in expected if rows[r] >> item & 1] == expected
+        assert sum(row.bit_count() for row in rows) == sum(
+            map(len, item_rows)
+        )
+
     @pytest.mark.parametrize("backend", ["auto", "roaring"])
-    def test_views_cross_transpose_blocks(self, backend):
-        """Row counts around the 65536-row transpose block boundary."""
+    def test_views_cross_transpose_blocks(self, backend, monkeypatch):
+        """Row counts around a 65536-row transpose block boundary (also
+        the first roaring chunk boundary)."""
+        monkeypatch.setattr(transactions, "_TRANSPOSE_BYTES", 3 << 16)
+        assert transactions._block_rows(3) == 1 << 16
         n_rows = (1 << 16) + 3
         item_rows = [
             [0, 65535, 65536, n_rows - 1], [], list(range(1, n_rows, 9))
@@ -369,13 +422,68 @@ class TestColumnFirstTranspose:
             rows[: n_rows // 2 + 1], rows[n_rows // 2 + 1 :]
         ]
 
-    @pytest.mark.parametrize("backend", ["auto", "tidset", "roaring"])
+    @pytest.mark.parametrize("backend", ["auto", "roaring"])
     @pytest.mark.parametrize("bad_row", [-1, 4, 2**70])
     def test_rows_outside_the_database_rejected(self, backend, bad_row):
         with pytest.raises(ValueError, match="row"):
             TransactionDatabase.from_columnar(
                 Universe("ab"), [[0, bad_row], [1]], 4, backend=backend
             )
+
+    @pytest.mark.parametrize("backend", ["auto", "roaring"])
+    def test_wide_universe_crosses_byte_bounded_blocks(
+        self, backend, monkeypatch
+    ):
+        """1100 items under a budget of 8 rows per block: both transposes
+        cross block boundaries and agree with the reference columns."""
+        n_items, n_rows = 1100, 37
+        monkeypatch.setattr(transactions, "_TRANSPOSE_BYTES", 8 * n_items)
+        assert transactions._block_rows(n_items) == 8
+        member = np.random.default_rng(5).random((n_rows, n_items)) < 0.1
+        rows = [
+            sum(1 << int(item) for item in np.flatnonzero(row))
+            for row in member
+        ]
+        item_rows = [np.flatnonzero(column) for column in member.T]
+        universe = Universe(range(n_items))
+        horizontal = TransactionDatabase(universe, rows, backend=backend)
+        columnar = TransactionDatabase.from_columnar(
+            universe, item_rows, n_rows, backend=backend
+        )
+        assert horizontal.tidsets_view() == columnar.tidsets_view()
+        assert _as_ints(horizontal) == _reference_columns(rows, n_items)
+        assert columnar.transaction_masks == rows
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from([0, 1, 7, 64, 65]),
+        st.one_of(st.sampled_from([0, 63, 64, 65]), st.integers(0, 40)),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.randoms(use_true_random=False),
+    )
+    def test_horizontal_build_matches_from_columnar(
+        self, n_items, n_rows, empty_share, rng
+    ):
+        """The row-to-column transpose yields the columns of the
+        column-first constructor, and the reference OR-per-occurrence
+        columns, on both representations — empty rows, an empty
+        universe and the 64-row word edge included."""
+        rows = [
+            0 if rng.random() < empty_share else rng.getrandbits(n_items)
+            for _ in range(n_rows)
+        ]
+        item_rows = [
+            [t for t, row in enumerate(rows) if row >> item & 1]
+            for item in range(n_items)
+        ]
+        universe = Universe(range(n_items))
+        for backend in ("auto", "roaring"):
+            horizontal = TransactionDatabase(universe, rows, backend=backend)
+            columnar = TransactionDatabase.from_columnar(
+                universe, item_rows, n_rows, backend=backend
+            )
+            assert horizontal.tidsets_view() == columnar.tidsets_view()
+            assert _as_ints(horizontal) == _reference_columns(rows, n_items)
 
     def test_empty_universe_keeps_rows(self):
         database = TransactionDatabase.from_columnar(Universe([]), [], 3)

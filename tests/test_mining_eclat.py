@@ -342,7 +342,7 @@ def _roaring_pair(rng, n_items, n_rows):
     universe = Universe(range(n_items))
     rows = [rng.randrange(1 << n_items) for _ in range(n_rows)]
     return (
-        TransactionDatabase(universe, rows, backend="tidset"),
+        TransactionDatabase(universe, rows, backend="auto"),
         TransactionDatabase(universe, rows, backend="roaring"),
     )
 
@@ -453,7 +453,7 @@ class TestEclatRoaringBitIdentity:
     def test_parallel_both_transports_identical(self, worker_count):
         universe = Universe(range(7))
         rows = [(i * 37) % 127 or 1 for i in range(1, 60)]
-        serial = eclat(TransactionDatabase(universe, rows, backend="tidset"), 5)
+        serial = eclat(TransactionDatabase(universe, rows, backend="auto"), 5)
         roaring_db = TransactionDatabase(universe, rows, backend="roaring")
         for memory in ("pickle", "shm"):
             parallel = eclat_parallel(

@@ -33,7 +33,8 @@ import pytest
 from repro.cli import main
 from repro.datasets.transactions import TransactionDatabase
 from repro.service import ServiceCore
-from repro.service.state import WAL_NAME
+from repro.runtime.checkpoint import Checkpoint
+from repro.service.state import SNAPSHOT_NAME, WAL_NAME
 from repro.util.bitset import Universe
 
 N_ITEMS = 5
@@ -183,6 +184,31 @@ class TestBadRequestsNeverPoisonTheLog:
             _database(), 2, state_dir=str(state_dir)
         ) as core:
             assert core.seq == 1
+            assert core.digest() == digest
+
+
+class TestOlderSnapshots:
+    def test_retired_dense_backend_name_recovers_same_theory(
+        self, tmp_path
+    ):
+        """A snapshot naming a retired dense backend ("tidset") loads on
+        the same big-int columns as "auto" instead of refusing."""
+        state_dir = tmp_path / "state"
+        with ServiceCore(_database(), 2, state_dir=str(state_dir)) as core:
+            core.append([7, 12], op_id="a")
+            core.compact()
+            expected = core.state
+            digest = core.digest()
+        path = state_dir / SNAPSHOT_NAME
+        checkpoint = Checkpoint.load(path)
+        checkpoint.state["backend"] = "tidset"
+        checkpoint.save(path)
+        with ServiceCore(_database(), 2, state_dir=str(state_dir)) as core:
+            state = core.state
+            assert state.database.backend == "auto"
+            assert state.supports == expected.supports
+            assert state.maximal == expected.maximal
+            assert state.negative == expected.negative
             assert core.digest() == digest
 
 
